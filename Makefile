@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint vet-alloc check bench
+.PHONY: build vet test race fmt-check lint vet-alloc bench-module check bench
 
 build:
 	$(GO) build ./...
@@ -35,29 +35,25 @@ lint:
 vet-alloc:
 	$(GO) run ./cmd/greenvet -alloc
 
-check: build vet lint vet-alloc test race fmt-check
+# The benchmark is its own module (cmd/greenperf), which `./...` above
+# does not reach; build and vet it so an API change that breaks it fails.
+bench-module:
+	cd cmd/greenperf && $(GO) build ./... && $(GO) vet ./...
 
-# Benchmark the hot paths (engine dispatch, trace repair, suite sweep)
-# and keep the machine-readable trajectory in BENCH_obs.json; then run
-# the scheduler's cells×workers matrix (the paper's 9-cell axis plus a
-# 32-cell production axis, each at 1/2/4/8 workers) alongside the
-# classic sequential-vs-4-workers pair into BENCH_sweep.json. The
-# -benchtime counts are pinned so successive runs are comparable;
-# allocation counters come from b.ReportAllocs() in the benchmarks.
+check: build vet lint vet-alloc test race fmt-check bench-module
+
+# Run the in-package Go benchmarks and print them to stdout: the hot
+# paths (engine dispatch, trace repair, suite sweep), the scheduler's
+# cells×workers matrix, the live plane and the analyzer suite. The
+# -benchtime counts are pinned so successive runs are comparable. The
+# end-to-end benchmark record is cmd/greenperf/run.sh, run over the
+# workloads and metrics that BENCHMARK.json declares.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineDispatch|BenchmarkRepair|BenchmarkSweep' \
-		-benchtime 1x -json \
-		./internal/sim ./internal/series ./internal/suite > BENCH_obs.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_obs.json | sed 's/"Output":"//' || true
+		-benchtime 1x ./internal/sim ./internal/series ./internal/suite
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepAxis(Sequential|Parallel)|BenchmarkSweepMatrix' \
-		-benchtime 10x -json \
-		./internal/suite > BENCH_sweep.json
-	@grep -o '"Output":"BenchmarkSweep[^"]*' BENCH_sweep.json | sed 's/"Output":"//' || true
+		-benchtime 10x ./internal/suite
 	$(GO) test -run '^$$' -bench 'BenchmarkBusPublish|BenchmarkTapSpan|BenchmarkHubProgress' \
-		-benchtime 100000x -json \
-		./internal/obs/live > BENCH_live.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_live.json | sed 's/"Output":"//' || true
+		-benchtime 100000x ./internal/obs/live
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadModule|BenchmarkAnalyzerSuite|BenchmarkCallGraph' \
-		-benchtime 1x -json \
-		./internal/analysis > BENCH_vet.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_vet.json | sed 's/"Output":"//' || true
+		-benchtime 1x ./internal/analysis

@@ -175,7 +175,7 @@ func validateCLI(o options) error {
 		if !o.sweep {
 			return fmt.Errorf("-shards %d needs -sweep: only a process sweep can be partitioned across worker processes", o.shards)
 		}
-		if o.journalFile() == "" {
+		if o.journalTarget() == "" {
 			return fmt.Errorf("-shards needs a checkpoint journal: pass -o or -journal so shard segments have somewhere to merge")
 		}
 	}
@@ -578,7 +578,7 @@ func run(o options) error {
 		Sweep:       sweep,
 		Procs:       procs,
 		Workers:     o.workers,
-		JournalPath: o.journalFile(),
+		JournalPath: o.journalTarget(),
 		Resume:      o.resume,
 		Trace:       tracer,
 		Logf: func(format string, args ...any) {
@@ -668,10 +668,10 @@ func printResults(w *os.File, results []*suite.Result) {
 	}
 }
 
-// journalFile resolves the sweep journal path: an explicit -journal wins,
+// journalTarget resolves the sweep journal path: an explicit -journal wins,
 // otherwise it is derived from -o. Without either there is nothing durable
 // to checkpoint against.
-func (o options) journalFile() string {
+func (o options) journalTarget() string {
 	if o.journalPath != "" {
 		return o.journalPath
 	}

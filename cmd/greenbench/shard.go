@@ -65,7 +65,7 @@ func (m shardMonitor) ShardQuarantined(shard, procs int, reason string) {
 // to a poison shard. The caller then renders the campaign through the
 // ordinary resume path.
 func superviseShards(o *options, spec *cluster.Spec, pl cluster.Placement, benches []string, axis []int, ls *liveState) error {
-	path := o.journalFile()
+	path := o.journalTarget()
 	if path == "" {
 		return fmt.Errorf("-shards needs a checkpoint journal: pass -o or -journal")
 	}

@@ -117,10 +117,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
+
+// readHeaderTimeout and idleTimeout bound slow and idle clients. There is
+// no write timeout: a job's event stream stays open for its whole run.
+var readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -432,5 +433,24 @@ func TestServerCancelRunningJobOverHTTP(t *testing.T) {
 	waitDone(t, j)
 	if st := j.State(); st != StateCancelled {
 		t.Fatalf("state = %s, want cancelled", st)
+	}
+}
+
+func TestServerDropsSlowHeaderClient(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	srv, _ := startTestServer(t, ManagerConfig{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Start a request and never finish its headers.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a slow-header connection open: %v", err)
 	}
 }

@@ -95,9 +95,6 @@ func SuperviseShards(p ShardPlan) error {
 	if err := journal.Bind(p.Benchmarks); err != nil {
 		return err
 	}
-	if journal.LegacyTraces() {
-		return fmt.Errorf("journal %s stores traces in the pre-v3 absolute-time layout and cannot seed shard segments; resume it with -workers 1 first, or delete it to start over", journal.Path())
-	}
 
 	tasks := shard.Partition(p.Axis, p.Shards)
 	segments := make([]string, len(tasks))
@@ -154,12 +151,10 @@ func SuperviseShards(p ShardPlan) error {
 	}
 
 	// Merge whatever the workers checkpointed, in deterministic axis
-	// order; reopen each segment so the workers' writes are visible.
+	// order; reopen each segment so the workers' writes are visible (a
+	// segment no worker wrote opens empty).
 	var segs []*suite.Journal
 	for _, path := range segments {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			continue
-		}
 		seg, err := suite.OpenJournal(path)
 		if err != nil {
 			return fmt.Errorf("reading shard segment: %w", err)

@@ -66,10 +66,14 @@ func NewServer(addr string, hub *Hub, snapshot func() obs.Snapshot) (*Server, er
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/events", s.handleEvents)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
+
+// readHeaderTimeout and idleTimeout bound slow and idle clients. There is
+// no write timeout: an /events stream stays open for the whole campaign.
+var readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }

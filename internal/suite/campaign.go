@@ -256,9 +256,6 @@ func (cs *CampaignSpec) runSweep() ([]*Result, *Journal, error) {
 		if err := journal.Bind(cs.Benchmarks); err != nil {
 			return nil, nil, err
 		}
-		if cs.Workers > 1 && journal.LegacyTraces() {
-			return nil, nil, fmt.Errorf("journal %s stores traces in the pre-v3 absolute-time layout; resume it with -workers 1, or delete it to start over", journal.Path())
-		}
 		if resume && journal.Len() > 0 {
 			cs.logf("resuming: %d cell(s) already in %s", journal.Len(), journal.Path())
 		}
@@ -288,14 +285,6 @@ func (cs *CampaignSpec) runSweep() ([]*Result, *Journal, error) {
 			key := func(bench string) string {
 				return CellKey(cs.Spec.Name, ctx.Procs, cs.Placement.String(), bench)
 			}
-			// Journaled traces are cell-relative; the cell origin rebases
-			// them onto this run's campaign clock. Legacy journals recorded
-			// absolute campaign times — replay those verbatim (the
-			// sequential schedule reproduces them).
-			origin := ctx.Origin
-			if journal.LegacyTraces() {
-				origin = 0
-			}
 			// mark fences the recorder per benchmark cell, so each cell's
 			// spans are journaled with it and replayed on resume.
 			mark := ctx.Rec.Mark()
@@ -311,8 +300,10 @@ func (cs *CampaignSpec) runSweep() ([]*Result, *Journal, error) {
 					}
 					if ok && ctx.Rec != nil {
 						if tr, hasTrace := journal.LookupTrace(key(bench)); hasTrace {
-							ctx.Rec.Replay(obs.ShiftedSpans(tr.Spans, origin),
-								obs.ShiftedEvents(tr.Events, origin))
+							// Journaled traces are cell-relative; the cell
+							// origin rebases them onto this run's clock.
+							ctx.Rec.Replay(obs.ShiftedSpans(tr.Spans, ctx.Origin),
+								obs.ShiftedEvents(tr.Events, ctx.Origin))
 							ctx.Rec.ReplayOps(tr.Ops)
 							mark = ctx.Rec.Mark()
 						}

@@ -1,29 +1,30 @@
 package suite
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// journalVersion is the current on-disk layout. v3 adds the benchmark
-// list header (a journal refuses to resume a differently-composed sweep)
-// and stores cell traces in cell-relative virtual time, which makes a
-// journal scheduler-invariant: a sweep checkpointed sequentially resumes
-// under the parallel scheduler and vice versa.
-const journalVersion = 3
+// journalVersion is the on-disk format: a header line, then one compact
+// JSON line per checkpointed cell. Traces are stored in cell-relative
+// virtual time, so a journal is scheduler-invariant: a sweep
+// checkpointed sequentially resumes under the parallel scheduler and
+// vice versa.
+const journalVersion = 4
 
 // Journal checkpoints completed (system, procs, placement, benchmark)
-// cells of a sweep to a JSON file, so an interrupted campaign resumes
-// where it stopped instead of re-simulating finished work. Every cell is
-// an independent, deterministically-seeded computation, so a resumed
+// cells of a sweep to a file, so an interrupted campaign resumes where
+// it stopped instead of re-simulating finished work. Every cell is an
+// independent, deterministically-seeded computation, so a resumed
 // sweep's output is bit-for-bit the uninterrupted one.
 //
 // When the campaign is traced, each cell also checkpoints the spans and
@@ -32,8 +33,14 @@ const journalVersion = 3
 // file covers the whole campaign, not just the cells executed after the
 // restart.
 //
-// The file is rewritten atomically (temp file + rename) after every cell:
-// a crash mid-checkpoint leaves the previous consistent journal behind.
+// The file is append-only. Its first line is the header
+// {"version":4,"benchmarks":[…]}, written together with the first
+// cell; every later line is one cell, {"key":…,"run":…,"trace":…}, and
+// the last line for a key wins. Each Record (and each Flush of staged
+// cells) opens the file with O_APPEND, writes, fsyncs and closes it, so
+// no file handle outlives a call. A writer killed mid-append leaves at
+// most a torn last line, which OpenJournal truncates away.
+//
 // All methods are safe for concurrent use — the parallel sweep scheduler
 // checkpoints cells from several goroutines.
 type Journal struct {
@@ -43,33 +50,39 @@ type Journal struct {
 	cells      map[string]BenchmarkRun
 	traces     map[string]CellTrace
 	benchmarks []string
-	// legacy marks a journal loaded from a pre-v3 file that carries
-	// traces; those are recorded in absolute campaign time and can only
-	// be replayed verbatim by the sequential schedule.
-	legacy bool
+	// headed reports that the file starts with a header line; the first
+	// append to a journal without one writes it.
+	headed bool
+	// staged lists the cells Stage queued for the next Flush.
+	staged []string
 }
 
 // CellTrace is the observability stream one journaled cell produced,
-// in cell-relative virtual time (pre-v3 journals: absolute time). Ops is
-// the cell's metric-update log; replaying it on resume rebuilds the
-// campaign registry bit-for-bit, so a resumed campaign's metrics file is
-// byte-identical to the uninterrupted one. Journals written before ops
-// existed simply carry none.
+// in cell-relative virtual time. Ops is the cell's metric-update log;
+// replaying it on resume rebuilds the campaign registry bit-for-bit, so
+// a resumed campaign's metrics file is byte-identical to the
+// uninterrupted one.
 type CellTrace struct {
 	Spans  []obs.Span     `json:"spans,omitempty"`
 	Events []obs.Event    `json:"events,omitempty"`
 	Ops    []obs.MetricOp `json:"ops,omitempty"`
 }
 
-// journalFile is the on-disk layout. v3 adds Version and Benchmarks;
-// v2 had Cells and Traces only; v1 was a bare map[string]BenchmarkRun
-// (cell keys always contain '|', so the "cells" key can never collide
-// with one). OpenJournal reads all three.
-type journalFile struct {
-	Version    int                     `json:"version,omitempty"`
-	Benchmarks []string                `json:"benchmarks,omitempty"`
-	Cells      map[string]BenchmarkRun `json:"cells"`
-	Traces     map[string]CellTrace    `json:"traces,omitempty"`
+func (tr CellTrace) empty() bool {
+	return len(tr.Spans) == 0 && len(tr.Events) == 0 && len(tr.Ops) == 0
+}
+
+// journalHeader is the journal's first line.
+type journalHeader struct {
+	Version    int      `json:"version"`
+	Benchmarks []string `json:"benchmarks"`
+}
+
+// journalRecord is one cell line.
+type journalRecord struct {
+	Key   string       `json:"key"`
+	Run   BenchmarkRun `json:"run"`
+	Trace *CellTrace   `json:"trace,omitempty"`
 }
 
 // CellKey names one benchmark of one sweep point.
@@ -78,13 +91,12 @@ func CellKey(system string, procs int, placement, bench string) string {
 }
 
 // OpenJournal loads the journal at path, or starts an empty one when the
-// file does not exist yet. The current layout and both legacy layouts
-// (v2: no header; v1: a bare cell map) are accepted. Temp files a killed
-// writer left behind mid-flush are swept away — thanks to the
-// write-fsync-rename protocol they never hold the journal's only copy.
+// file does not exist yet. Reading stops at the first incomplete or
+// undecodable line — the torn tail of a killed writer — and the file is
+// truncated there, so the next append starts on a line boundary. A file
+// whose first complete line is not a v4 header is refused.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, cells: map[string]BenchmarkRun{}, traces: map[string]CellTrace{}}
-	removeStaleTemps(path)
 	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return j, nil
@@ -92,30 +104,54 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
+	off := 0 // end of the accepted prefix
+	for n := bytes.IndexByte(b, '\n'); n >= 0; n = bytes.IndexByte(b[off:], '\n') {
+		line := b[off : off+n]
+		if !j.headed {
+			if err := j.readHeader(line); err != nil {
+				return nil, err
+			}
+		} else if !j.apply(line) {
+			break
+		}
+		off += n + 1
 	}
-	if _, keyed := probe["cells"]; keyed {
-		var f journalFile
-		if err := json.Unmarshal(b, &f); err != nil {
-			return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
+	if off < len(b) {
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return nil, err
 		}
-		if f.Cells != nil {
-			j.cells = f.Cells
-		}
-		if f.Traces != nil {
-			j.traces = f.Traces
-		}
-		j.benchmarks = f.Benchmarks
-		j.legacy = f.Version < journalVersion && len(j.traces) > 0
-		return j, nil
-	}
-	// v1: the whole file is the cell map.
-	if err := json.Unmarshal(b, &j.cells); err != nil {
-		return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
 	}
 	return j, nil
+}
+
+// readHeader accepts the journal's first line.
+func (j *Journal) readHeader(line []byte) error {
+	if strings.TrimSpace(string(line)) == "{" {
+		// v1–v3 journals were one indented JSON object.
+		return fmt.Errorf("suite: journal %s was written by an older greenbench (pre-v%d format); delete it to start over", j.path, journalVersion)
+	}
+	var h journalHeader
+	if err := json.Unmarshal(line, &h); err != nil || h.Version != journalVersion {
+		return fmt.Errorf("suite: journal %s is corrupt (first line is not a v%d journal header); delete it to start over", j.path, journalVersion)
+	}
+	j.benchmarks = h.Benchmarks
+	j.headed = true
+	return nil
+}
+
+// apply loads one cell line, reporting false when it does not decode.
+func (j *Journal) apply(line []byte) bool {
+	var rec journalRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+		return false
+	}
+	j.cells[rec.Key] = rec.Run
+	if rec.Trace != nil && !rec.Trace.empty() {
+		j.traces[rec.Key] = *rec.Trace
+	} else {
+		delete(j.traces, rec.Key)
+	}
+	return true
 }
 
 // Path returns the journal's file path.
@@ -128,22 +164,10 @@ func (j *Journal) Len() int {
 	return len(j.cells)
 }
 
-// LegacyTraces reports whether the journal carries pre-v3 traces in
-// absolute campaign time. Such a journal resumes only under the
-// sequential schedule, which reproduces the absolute times the traces
-// were recorded at.
-func (j *Journal) LegacyTraces() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.legacy
-}
-
 // Bind ties the journal to the sweep's ordered benchmark list. A fresh
 // journal records the list in its header; an existing one refuses a
 // differing list — resuming a journal under a different suite
-// composition would silently mix incomparable measurements. Journals
-// written before the header existed (pre-v3) bind to whatever list the
-// resuming sweep supplies.
+// composition would silently mix incomparable measurements.
 func (j *Journal) Bind(benchmarks []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -151,17 +175,8 @@ func (j *Journal) Bind(benchmarks []string) error {
 		j.benchmarks = append([]string(nil), benchmarks...)
 		return nil
 	}
-	if len(j.benchmarks) == len(benchmarks) {
-		same := true
-		for i := range benchmarks {
-			if j.benchmarks[i] != benchmarks[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil
-		}
+	if slices.Equal(j.benchmarks, benchmarks) {
+		return nil
 	}
 	return fmt.Errorf("suite: journal %s was written for benchmarks [%s], but this sweep runs [%s]; finish it with the original set, or delete the journal to start over",
 		j.path, strings.Join(j.benchmarks, " "), strings.Join(benchmarks, " "))
@@ -176,7 +191,7 @@ func (j *Journal) Lookup(key string) (BenchmarkRun, bool) {
 }
 
 // LookupTrace returns the observability stream checkpointed for a cell.
-// Cells recorded untraced (or by the v1 layout) have none.
+// Cells recorded untraced have none.
 func (j *Journal) LookupTrace(key string) (CellTrace, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -185,11 +200,11 @@ func (j *Journal) LookupTrace(key string) (CellTrace, bool) {
 }
 
 // SetTrace stages a cell's observability stream (cell-relative time)
-// without persisting; the next Record flushes it together with the cell.
+// without persisting; the next Record writes it together with the cell.
 // Call it right before Record so a crash between the two cannot strand a
 // trace.
 func (j *Journal) SetTrace(key string, tr CellTrace) {
-	if len(tr.Spans) == 0 && len(tr.Events) == 0 && len(tr.Ops) == 0 {
+	if tr.empty() {
 		return
 	}
 	j.mu.Lock()
@@ -197,48 +212,50 @@ func (j *Journal) SetTrace(key string, tr CellTrace) {
 	j.mu.Unlock()
 }
 
-// Record checkpoints one cell and persists the journal.
+// Record checkpoints one cell by appending its line to the file.
 func (j *Journal) Record(key string, run BenchmarkRun) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cells[key] = run
-	return j.flushLocked()
+	return j.appendLocked([]string{key})
 }
 
 // Stage records a cell (and its trace, if any) without persisting — the
 // bulk-loading counterpart of SetTrace+Record for merging shard journal
-// segments, where one Flush at the end beats a rewrite per cell.
+// segments, where one Flush at the end beats an append per cell. An
+// empty trace clears the cell's previous one.
 func (j *Journal) Stage(key string, run BenchmarkRun, tr CellTrace) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cells[key] = run
-	if len(tr.Spans) > 0 || len(tr.Events) > 0 || len(tr.Ops) > 0 {
+	if !tr.empty() {
 		j.traces[key] = tr
 	} else {
 		delete(j.traces, key)
 	}
+	j.staged = append(j.staged, key)
 }
 
-// Drop removes a cell (and its trace) without persisting — how a resumed
-// sharded sweep clears a quarantined cell so it re-runs. Call Flush to
-// persist.
-func (j *Journal) Drop(key string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.cells, key)
-	delete(j.traces, key)
-}
-
-// Flush persists the journal (atomically: temp file, fsync, rename).
+// Flush appends the cells staged since the last Flush in one write.
 func (j *Journal) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.flushLocked()
+	if len(j.staged) == 0 {
+		return nil
+	}
+	err := j.appendLocked(j.staged)
+	if err == nil {
+		j.staged = nil
+	}
+	return err
 }
 
 // Remove deletes the journal file (after a sweep completes and its final
 // output is safely written).
 func (j *Journal) Remove() error {
+	j.mu.Lock()
+	j.headed = false
+	j.mu.Unlock()
 	err := os.Remove(j.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -246,67 +263,42 @@ func (j *Journal) Remove() error {
 	return err
 }
 
-// flushLocked writes the journal atomically; j.mu must be held. A legacy
-// journal keeps its pre-v3 version so its absolute-time traces are never
-// misread as cell-relative ones.
-//
-// The write protocol is crash-safe: the new contents go to a temp file
-// next to the journal, are fsynced to stable storage, and only then
-// atomically renamed over the old file. A shard worker killed at any
-// instant — even mid-write or between fsync and rename — therefore
-// leaves either the previous consistent journal or the new one, never a
-// torn file. Temp names embed the journal's own filename so concurrent
-// journals in one directory (shard segments) cannot sweep each other's
-// in-flight temps.
-func (j *Journal) flushLocked() error {
-	version := journalVersion
-	if j.legacy {
-		version = journalVersion - 1
+// appendLocked writes the lines of the given cells — preceded by the
+// header when the file has none yet — in one O_APPEND write, fsyncs and
+// closes the file; j.mu must be held.
+func (j *Journal) appendLocked(keys []string) error {
+	var buf []byte
+	if !j.headed {
+		h, err := json.Marshal(journalHeader{Version: journalVersion, Benchmarks: j.benchmarks})
+		if err != nil {
+			return err
+		}
+		buf = append(h, '\n')
 	}
-	f := journalFile{Version: version, Benchmarks: j.benchmarks, Cells: j.cells}
-	if len(j.traces) > 0 {
-		f.Traces = j.traces
+	for _, key := range keys {
+		rec := journalRecord{Key: key, Run: j.cells[key]}
+		if tr, ok := j.traces[key]; ok {
+			rec.Trace = &tr
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
 	}
-	b, err := json.MarshalIndent(f, "", "  ")
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, tempPattern(j.path))
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), j.path)
-}
-
-// tempPattern is the os.CreateTemp pattern for a journal's in-flight
-// writes: ".<name>.tmp-<random>" in the journal's directory.
-func tempPattern(path string) string {
-	return "." + filepath.Base(path) + ".tmp-*"
-}
-
-// removeStaleTemps sweeps temp files an earlier, killed writer of this
-// journal left behind. Best-effort: an unremovable temp costs disk, not
-// correctness.
-func removeStaleTemps(path string) {
-	pattern := filepath.Join(filepath.Dir(path), tempPattern(path))
-	matches, err := filepath.Glob(pattern)
-	if err != nil {
-		return
-	}
-	for _, m := range matches {
-		os.Remove(m)
-	}
+	j.headed = true
+	return nil
 }

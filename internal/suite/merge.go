@@ -24,7 +24,7 @@ package suite
 // already holds (seeded from a resumed campaign) are kept unless a
 // segment provides a fresh copy.
 //
-// The merged journal is flushed once, atomically. Returned is the list
+// The merged cells are appended to dst in one write. Returned is the list
 // of cell keys no segment (nor dst) could supply — the cells lost to
 // quarantined shards, which the caller records explicitly.
 func MergeShardJournals(dst *Journal, segments []*Journal, system, placement string, axis []int, benches []string) ([]string, error) {

@@ -1,10 +1,8 @@
 package suite_test
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -117,75 +115,6 @@ func TestMergeShardJournalsReportsMissing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(missing, want) {
 		t.Fatalf("missing = %v, want %v", missing, want)
-	}
-}
-
-func TestJournalFlushIsCrashSafe(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	j, err := suite.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := testbedRuns(t, []int{1})
-	for key, run := range runs {
-		if err := j.Record(key, run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No in-flight temp may survive a completed flush.
-	if temps, _ := filepath.Glob(filepath.Join(dir, ".sweep.journal.tmp-*")); len(temps) != 0 {
-		t.Fatalf("flush left temp files behind: %v", temps)
-	}
-
-	// Simulate a writer killed mid-flush: a truncated temp file sits next
-	// to the (complete, consistent) journal. Reopening must recover the
-	// full journal and sweep the stale temp away — the torn bytes were
-	// never renamed over the real file.
-	stale := filepath.Join(dir, ".sweep.journal.tmp-12345")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(stale, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := suite.OpenJournal(path)
-	if err != nil {
-		t.Fatalf("journal did not survive a simulated mid-flush kill: %v", err)
-	}
-	if re.Len() != len(runs) {
-		t.Fatalf("recovered %d cells, want %d", re.Len(), len(runs))
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale mid-flush temp not swept on reopen")
-	}
-}
-
-func TestJournalTruncatedFileIsDiagnosed(t *testing.T) {
-	// A journal truncated in place (a non-atomic writer, a failing disk)
-	// must fail with the descriptive corrupt-journal error, not a panic
-	// or a silent empty journal.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	j, err := suite.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, run := range testbedRuns(t, []int{1}) {
-		if err := j.Record(key, run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := suite.OpenJournal(path); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("truncated journal not diagnosed: %v", err)
 	}
 }
 

@@ -345,7 +345,8 @@ func TestSweepParallelErrorNoLeak(t *testing.T) {
 
 // BenchmarkSweepAxisSequential runs the paper's full Fire campaign on
 // one worker — the baseline the parallel scheduler is compared against
-// (make bench graphs the two side by side in BENCH_sweep.json).
+// (make bench prints the two side by side; the end-to-end record is
+// cmd/greenperf/run.sh with BENCHMARK.json).
 func BenchmarkSweepAxisSequential(b *testing.B) {
 	benchmarkSweepAxis(b, FireSweep(), 1)
 }
